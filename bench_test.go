@@ -325,11 +325,11 @@ func BenchmarkOracleParallel(b *testing.B) {
 	for i, id := range sh {
 		sets[i] = opt.NewNodeSet(id)
 	}
-	opt.BestCostBatch(sets) // warm every worker's cache
+	opt.BestCostBatchCtx(nil, sets) // warm every worker's cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.BestCostBatch(sets)
+		opt.BestCostBatchCtx(nil, sets)
 	}
 }
 

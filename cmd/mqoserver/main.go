@@ -13,15 +13,16 @@
 //	          [-no-preempt] [-drain-grace 2s] [-drain-timeout 30s]
 //	          [-breaker-off] [-breaker-failures 3] [-breaker-cooldown 10s]
 //	          [-degraded-time-budget 2s] [-degraded-call-budget 50000]
-//	          [-batch] [-batch-max 8] [-batch-delay 5ms] [-batch-queries 0]
+//	          [-batch-max 0] [-batch-delay 5ms] [-batch-queries 0]
 //	          [-warm-from snapshot.json | -warm-from http://peer:8080/]
 //
-// -batch enables cross-request continuous batching: admitted requests
-// with the same catalog and effective run options briefly wait for peers
-// (-batch-delay), are optimized as one shared run, and each receives its
-// exact attributed slice — plan, costs and a conserving telemetry share
-// the tenant quota is charged with. See internal/server's package doc
-// for the batching contract.
+// -batch-max 2 or more turns on cross-request continuous batching:
+// admitted requests with the same catalog and effective run options
+// briefly wait for peers (-batch-delay), are optimized as one shared run,
+// and each receives its exact attributed slice — plan, costs and a
+// conserving telemetry share the tenant quota is charged with. At most 1
+// (the default is 0) every request runs alone. See internal/server's
+// package doc for the batching contract.
 //
 // -sched-slots gives all tenants a shared worker-slot pool scheduled by
 // -sched-policy: "drr" (deficit-round-robin weighted-fair dispatch with
@@ -102,8 +103,7 @@ func main() {
 		drainGrace   = flag.Duration("drain-grace", 2*time.Second, "how long to keep answering (503) after SIGTERM so load balancers observe the drain before the listener closes")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight requests get after SIGTERM")
 
-		batch        = flag.Bool("batch", false, "enable cross-request continuous batching (one shared run per flush, exact per-request attribution)")
-		batchMax     = flag.Int("batch-max", 8, "batching: flush a lane once this many requests wait in it")
+		batchMax     = flag.Int("batch-max", 0, "cross-request continuous batching: flush a lane once this many requests wait in it (one shared run per flush, exact per-request attribution); at most 1 = off, every request runs alone")
 		batchDelay   = flag.Duration("batch-delay", 5*time.Millisecond, "batching: max time the first request of a lane waits for peers")
 		batchQueries = flag.Int("batch-queries", 0, "batching: flush a lane once its combined query count reaches this (0 = size/deadline flushing only)")
 
@@ -136,7 +136,6 @@ func main() {
 		DefaultSF:     *sf,
 		Logger:        log.Default(),
 		Batch: server.BatchConfig{
-			Enabled:     *batch,
 			MaxRequests: *batchMax,
 			MaxDelayMS:  batchDelay.Milliseconds(),
 			MaxQueries:  *batchQueries,

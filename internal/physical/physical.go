@@ -94,7 +94,7 @@
 // per-evaluation state (scratch tables, the private L1 cache, stat
 // counters) lives in per-worker contexts: sequential entry points
 // (BestCost, BestUseCost, BestPlan, ValidatePlan) share worker 0 and are
-// not safe for concurrent use, while BestCostBatch evaluates many
+// not safe for concurrent use, while BestCostBatchCtx evaluates many
 // materialization sets concurrently on up to Parallelism workers. Costs
 // are pure functions of (memo, set), so batch results are bit-identical
 // to sequential evaluation regardless of scheduling — and SharedCache
@@ -248,7 +248,7 @@ type Searcher struct {
 	// Like ExtendedOps, toggling it requires a ClearCache call.
 	MatOrders bool
 
-	// Parallelism bounds the number of workers BestCostBatch fans a batch
+	// Parallelism bounds the number of workers BestCostBatchCtx fans a batch
 	// of candidate sets out to; 0 (the default) means GOMAXPROCS and 1
 	// forces sequential evaluation on worker 0. Each worker carries its
 	// own scratch tables and cross-call cache, and every individual bc(S)
@@ -588,7 +588,7 @@ func (b *l1Bucket) store(epoch uint32, mask uint64, v float64) {
 }
 
 // worker is one evaluation context: per-call scratch tables plus a private
-// cross-call cache. Sequential entry points use worker 0; BestCostBatch
+// cross-call cache. Sequential entry points use worker 0; BestCostBatchCtx
 // uses one worker per goroutine.
 type worker struct {
 	s *Searcher
@@ -896,15 +896,9 @@ func (s *Searcher) bestCostOn(w *worker, mat memo.Bitset) float64 {
 	return total
 }
 
-// BestCostBatch evaluates bc(S) for every set concurrently on up to
-// Parallelism workers and returns the costs in input order. Results are
-// bit-identical to calling BestCost sequentially.
-func (s *Searcher) BestCostBatch(mats []NodeSet) []float64 {
-	out, _ := s.BestCostBatchCtx(nil, mats)
-	return out
-}
-
-// BestCostBatchCtx is BestCostBatch under a context: once ctx is cancelled
+// BestCostBatchCtx evaluates bc(S) for every set concurrently on up to
+// Parallelism workers and returns the costs in input order, bit-identical
+// to calling BestCost sequentially. Once ctx is cancelled
 // no further evaluation starts (a bc(S) evaluation already underway runs
 // to completion — cancellation granularity is one oracle call). On abort
 // it returns ok=false together with the completed prefix of the results —
@@ -974,26 +968,21 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 		workers[k] = s.worker(k)
 	}
 	completed := make([]uint32, len(mats))
-	var next int64 = -1
 	var wg sync.WaitGroup
+	// Worker k takes sets k, k+par, k+2·par, …: a fixed stride, so which
+	// sets share a worker's L1 — and with it CacheHits and ComputedKeys —
+	// does not depend on goroutine timing.
 	for k := 0; k < par; k++ {
 		wg.Add(1)
-		go func(w *worker) {
+		go func(k int, w *worker) {
 			defer wg.Done()
-			for {
-				if cancelled() {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(mats) {
-					return
-				}
-				if !evalOne(w, i) {
+			for i := k; i < len(mats); i += par {
+				if cancelled() || !evalOne(w, i) {
 					return
 				}
 				atomic.StoreUint32(&completed[i], 1)
 			}
-		}(workers[k])
+		}(k, workers[k])
 	}
 	wg.Wait()
 	for _, w := range workers {

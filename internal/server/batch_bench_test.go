@@ -70,7 +70,7 @@ func BenchmarkServerBatched(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				srv := New(Config{
 					DefaultTenant: TenantConfig{MaxConcurrent: 2 * clients, QueueDepth: 32, QueueWaitMS: 60000},
-					Batch:         BatchConfig{Enabled: true, MaxRequests: clients, MaxDelayMS: 60000},
+					Batch:         BatchConfig{MaxRequests: clients, MaxDelayMS: 60000},
 				})
 				srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
 					return make(chan time.Time), func() bool { return true }

@@ -52,7 +52,7 @@ func batchingServer(t *testing.T, size int) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 2 * size, QueueDepth: 32, QueueWaitMS: 60000},
-		Batch:         BatchConfig{Enabled: true, MaxRequests: size, MaxDelayMS: 60000},
+		Batch:         BatchConfig{MaxRequests: size, MaxDelayMS: 60000},
 	})
 	srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
 		return make(chan time.Time), func() bool { return true }
@@ -289,7 +289,16 @@ func TestBatchMemberCancelledExcised(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	liveOut := b.submit(key, mkMember(context.Background()))
+	// The live member runs alone, preemptible, so it needs an admission
+	// grant like any admitted request.
+	g, err := srv.Admission().AcquireGrant(context.Background(), AdmitRequest{Tenant: "t", Cost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := mkMember(context.Background())
+	live.grant = g
+	liveOut := b.submit(key, live)
+	g.Release(liveOut.spent)
 
 	deadOut := <-outcomes
 	if !deadOut.cancelled {
@@ -312,7 +321,7 @@ func TestBatchMemberCancelledExcised(t *testing.T) {
 func TestBatchDeadlineFlush(t *testing.T) {
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
-		Batch:         BatchConfig{Enabled: true, MaxRequests: 8, MaxDelayMS: 60000},
+		Batch:         BatchConfig{MaxRequests: 8, MaxDelayMS: 60000},
 	})
 	fire := make(chan time.Time)
 	srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
@@ -353,7 +362,7 @@ func TestBatchDeadlineFlush(t *testing.T) {
 func TestBatchQueryCapFlush(t *testing.T) {
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
-		Batch:         BatchConfig{Enabled: true, MaxRequests: 8, MaxDelayMS: 60000, MaxQueries: 4},
+		Batch:         BatchConfig{MaxRequests: 8, MaxDelayMS: 60000, MaxQueries: 4},
 	})
 	srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
 		return make(chan time.Time), func() bool { return true }
@@ -444,7 +453,8 @@ func TestBatchLaneIsolation(t *testing.T) {
 // TestBatchSoloFallback: when the combined build fails because one
 // member's batch is invalid against the catalog, the innocent member
 // must still be served (solo, unbatched) and the guilty one must get its
-// own 400.
+// own 400. A resume request on the same server never waits for peers: it
+// runs at once, alone and unbatched, and completes the checkpointed run.
 func TestBatchSoloFallback(t *testing.T) {
 	_, ts := batchingServer(t, 2)
 	type result struct {
@@ -474,6 +484,33 @@ func TestBatchSoloFallback(t *testing.T) {
 	}
 	if results[1].status != http.StatusBadRequest {
 		t.Fatalf("invalid member: status %d, want 400", results[1].status)
+	}
+
+	// The checkpoint comes from a solo server: checkpoints are portable.
+	solo := httptest.NewServer(New(Config{}).Handler())
+	defer solo.Close()
+	spec := `{"seed": 3, "queries": 6, "shape": "chain", "fan_out": 3, "sharing": 0.5, "select_frac": 0.8, "agg_frac": 0.5}`
+	ref, status := postBatch(t, solo.URL, "", `{"spec": `+spec+`}`)
+	if ref == nil {
+		t.Fatalf("reference run: status %d", status)
+	}
+	stopped, status := postBatch(t, solo.URL, "", fmt.Sprintf(`{"spec": %s, "oracle_call_budget": %d}`, spec, ref.Telemetry.OracleCalls/2))
+	if stopped == nil || stopped.Checkpoint == nil {
+		t.Fatalf("budgeted run: status %d, want a 200 with a checkpoint", status)
+	}
+	resume, err := json.Marshal(map[string]any{"spec": json.RawMessage(spec), "resume": stopped.Checkpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, status := postBatch(t, ts.URL, "", string(resume))
+	if resumed == nil {
+		t.Fatalf("resume on a batching server: status %d, want 200", status)
+	}
+	if resumed.Batched {
+		t.Fatalf("resumed response claims to be batched")
+	}
+	if resumed.CostMS != ref.CostMS || fmt.Sprint(resumed.Materialized) != fmt.Sprint(ref.Materialized) {
+		t.Fatalf("resumed run cost %v set %v, uninterrupted %v %v", resumed.CostMS, resumed.Materialized, ref.CostMS, ref.Materialized)
 	}
 }
 

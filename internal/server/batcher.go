@@ -12,18 +12,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/logical"
 	"repro/internal/memo"
-	"repro/internal/physical"
 )
 
 // BatchConfig parameterizes cross-request continuous batching. The zero
-// value disables it: requests are served solo exactly as before, so
-// batching is strictly opt-in per server.
+// value does no coalescing: every request runs at once as a lane of one.
 type BatchConfig struct {
-	// Enabled turns the batch scheduler on. Disabled, every request takes
-	// the solo path.
-	Enabled bool `json:"enabled,omitempty"`
-	// MaxRequests flushes a lane as soon as this many requests wait in it
-	// (default 8).
+	// MaxRequests flushes a lane as soon as this many requests wait in it.
+	// At most 1 (the zero value) means no coalescing: every request runs
+	// at once as a lane of one. Responses carry batched/batch_size when it
+	// is at least 1.
 	MaxRequests int `json:"max_requests,omitempty"`
 	// MaxDelayMS is the longest the first request of a lane waits for
 	// peers before the lane flushes anyway (default 5).
@@ -35,9 +32,6 @@ type BatchConfig struct {
 }
 
 func (c BatchConfig) normalize() BatchConfig {
-	if c.MaxRequests <= 0 {
-		c.MaxRequests = 8
-	}
 	if c.MaxDelayMS <= 0 {
 		c.MaxDelayMS = 5
 	}
@@ -61,16 +55,20 @@ type laneKey struct {
 	degraded bool
 }
 
-// batchMember is one admitted request waiting in a lane. Its outcome
-// channel (buffered, written exactly once) carries everything the handler
-// needs to answer the client and charge the tenant quota.
+// batchMember is one admitted request: what its run needs (batch,
+// grant, resume checkpoint) and what its answer reports. In a lane, its
+// outcome channel (buffered, written exactly once) carries the answer
+// back to the handler.
 type batchMember struct {
-	ctx      context.Context
-	batch    *logical.Batch
-	fp       string // batch fingerprint; "" = not coalescible
-	tenant   string
-	planText bool
-	outcome  chan batchOutcome
+	ctx       context.Context
+	batch     *logical.Batch
+	fp        string // batch fingerprint; "" = not coalescible
+	tenant    string
+	planText  bool
+	grant     *Grant            // the admission hold preemption suspends and resumes
+	resume    *repro.Checkpoint // non-nil: continue this checkpoint (never coalesces)
+	queueWait time.Duration     // admission wait, reported in the response
+	outcome   chan batchOutcome
 }
 
 // batchOutcome is the terminal state of one member: a 200 response, an
@@ -83,6 +81,14 @@ type batchOutcome struct {
 	body      *errorBody
 	spent     int
 	cancelled bool // client gone before the run started: answer 499
+}
+
+// inBatchOf marks a 200 answer as a slice of an n-member batch.
+func (o batchOutcome) inBatchOf(n int) batchOutcome {
+	if o.resp != nil {
+		o.resp.Batched, o.resp.BatchSize = true, n
+	}
+	return o
 }
 
 // lane is the accumulating state of one laneKey: members joined since the
@@ -99,11 +105,12 @@ type lane struct {
 	stopTimer func() bool
 }
 
-// batcher is the continuous-batching scheduler: admitted requests enqueue
-// into per-laneKey lanes, and each flush coalesces the waiting members'
-// batches into one combined DAG, runs one shared optimization, and
-// attributes the result back per member — exact materialization slices,
-// conserving telemetry shares, per-tenant quota charges.
+// batcher is the one serving path of optimize requests. Each admitted
+// request runs as a member of a lane: alone when it cannot coalesce, else
+// after waiting in a per-laneKey lane, whose flush coalesces the waiting
+// members' batches into one combined DAG, runs one shared optimization,
+// and attributes the result back per member — exact materialization
+// slices, conserving telemetry shares, per-tenant quota charges.
 type batcher struct {
 	srv *Server
 	cfg BatchConfig
@@ -114,24 +121,24 @@ type batcher struct {
 	// newTimer is the deadline-clock hook; tests swap it for a manual
 	// trigger so flush timing is deterministic.
 	newTimer func(time.Duration) (<-chan time.Time, func() bool)
-	// onBatchComplete, when non-nil, observes every successful shared run:
-	// the run's total telemetry and the per-member shares it was split
-	// into. The race-stress conservation audit hangs off it.
+	// onBatchComplete, when non-nil, observes every successful run: the
+	// run's total telemetry and the per-member shares it was split into
+	// (a lone run is its own single share). The race-stress conservation
+	// audit hangs off it.
 	onBatchComplete func(total core.Telemetry, shares []core.Telemetry)
-	// onBatchFault mirrors onBatchComplete for faulted shared runs: the
-	// telemetry the run burned before its panic and the conserving
-	// per-member shares it was charged out as.
+	// onBatchFault mirrors onBatchComplete for faulted runs: the telemetry
+	// the run burned before its panic and the conserving per-member shares
+	// it was charged out as.
 	onBatchFault func(total core.Telemetry, shares []core.Telemetry)
-	// batches and coalesced count flushed runs and members deduplicated
-	// away by fingerprint coalescing.
-	batches   atomic.Int64
+	// coalesced counts members deduplicated away by fingerprint
+	// coalescing.
 	coalesced atomic.Int64
 }
 
 func newBatcher(srv *Server, cfg BatchConfig) *batcher {
 	return &batcher{
 		srv:   srv,
-		cfg:   cfg.normalize(),
+		cfg:   cfg,
 		lanes: make(map[laneKey]*lane),
 		newTimer: func(d time.Duration) (<-chan time.Time, func() bool) {
 			t := time.NewTimer(d)
@@ -182,10 +189,23 @@ func coalesceBatches(members []*batchMember) (groups []*logical.Batch, memberGro
 	return groups, memberGroup
 }
 
-// submit enqueues one admitted request and blocks until its outcome is
-// delivered. The outcome always arrives: flushes deliver to every member
+// submit runs one admitted request and returns its outcome. A request
+// that cannot coalesce — MaxRequests ≤ 1, or a resume checkpoint, which
+// binds to its own search space — runs at once on the caller's goroutine
+// as a lane of one, never entering the lane map. Any other request
+// enqueues into its lane and blocks until the lane's run delivers its
+// outcome, which always arrives: flushes deliver to every member
 // (including pre-run cancellations), and the run path is panic-isolated.
 func (b *batcher) submit(key laneKey, m *batchMember) batchOutcome {
+	if b.cfg.MaxRequests <= 1 || m.resume != nil {
+		o := b.runOne(key, m, m.resume != nil || preemptibleStrategy(key.spec.strategy))
+		if b.cfg.MaxRequests == 1 && m.resume == nil {
+			o = o.inBatchOf(1)
+		}
+		return o
+	}
+	m.fp, _ = batchFingerprint(m.batch)
+	m.outcome = make(chan batchOutcome, 1)
 	b.mu.Lock()
 	l := b.lanes[key]
 	if l == nil {
@@ -252,11 +272,12 @@ func (d *deliverer) deliver(i int, o batchOutcome) {
 	d.members[i].outcome <- o
 }
 
-// run executes one detached lane: excise already-cancelled members,
-// coalesce the rest by fingerprint, run one shared optimization on the
-// lane's catalog session, and attribute the outcome per member. Every
-// member receives exactly one outcome, whatever happens — including a
-// panic anywhere in this function.
+// run executes one detached lane: excise already-cancelled members, run
+// a lone survivor with runOne, and otherwise coalesce the survivors by
+// fingerprint, run one shared optimization on the lane's catalog session,
+// and attribute the outcome per member. Every member receives exactly one
+// outcome, whatever happens — including a panic anywhere in this
+// function.
 func (b *batcher) run(l *lane) {
 	s := b.srv
 	d := &deliverer{members: l.members, sent: make([]bool, len(l.members))}
@@ -290,7 +311,12 @@ func (b *batcher) run(l *lane) {
 		}
 		live = append(live, i)
 	}
-	if len(live) == 0 {
+	switch len(live) {
+	case 0:
+		return
+	case 1:
+		i := live[0]
+		d.deliver(i, b.runOne(l.key, l.members[i], preemptibleStrategy(l.key.spec.strategy)).inBatchOf(1))
 		return
 	}
 
@@ -299,7 +325,6 @@ func (b *batcher) run(l *lane) {
 		liveMembers[k] = l.members[i]
 	}
 	groups, memberGroup := coalesceBatches(liveMembers)
-	b.batches.Add(1)
 	b.coalesced.Add(int64(len(live) - len(groups)))
 
 	sess, release, err := s.pool.acquire(l.key.pool)
@@ -342,20 +367,18 @@ func (b *batcher) run(l *lane) {
 	if err != nil {
 		var fe *repro.FaultError
 		if errors.As(err, &fe) {
-			b.faultBatch(l, live, sess, fe, d, len(groups))
+			b.faultBatch(l, live, sess, fe, d)
 			return
 		}
 		// The combined build failed — typically one member's batch is
-		// invalid against the catalog. Fall back to per-member solo runs so
-		// an innocent member is never 400'd for a peer's bad request.
-		b.soloFallback(l, live, sess, d)
+		// invalid against the catalog. Run each member alone so an
+		// innocent member is never 400'd for a peer's bad request.
+		for _, i := range live {
+			d.deliver(i, b.runOne(l.key, l.members[i], false))
+		}
 		return
 	}
-	if sres.Telemetry.Stopped == repro.StopTimeBudget {
-		s.breaker.recordFailure(l.key.pool)
-	} else {
-		s.breaker.recordSuccess(l.key.pool)
-	}
+	b.recordRun(l.key.pool, sres.Telemetry)
 
 	// Split each group's attribution among the members it was coalesced
 	// from. Group attributions conserve against the run exactly
@@ -369,11 +392,7 @@ func (b *batcher) run(l *lane) {
 	}
 	shares := make([]core.Telemetry, len(live))
 	for gi, a := range sres.Attributions {
-		ones := make([]int, len(sharers[gi]))
-		for j := range ones {
-			ones[j] = 1
-		}
-		split := repro.SplitTelemetry(a.Telemetry, ones)
+		split := repro.SplitTelemetry(a.Telemetry, ones(len(sharers[gi])))
 		for j, k := range sharers[gi] {
 			shares[k] = split[j]
 		}
@@ -382,170 +401,207 @@ func (b *batcher) run(l *lane) {
 		b.onBatchComplete(sres.Telemetry, shares)
 	}
 
+	// PlanText and checkpoints span the combined run — every member's
+	// queries and search space — so no member of a shared run gets them.
 	for k, i := range live {
-		m := liveMembers[k]
 		a := sres.Attributions[memberGroup[k]]
-		resp := &OptimizeResponse{
-			Strategy:       l.key.spec.strategy.String(),
-			Queries:        len(m.batch.Queries),
-			Materialized:   make([]int, 0, len(a.Materialized)),
-			CostMS:         a.Cost,
-			VolcanoMS:      a.VolcanoCost,
-			BenefitMS:      a.Benefit,
-			SharedCreditMS: a.SharedCredit,
-			Plan:           summarizeMemberPlan(sres.Plan, a),
-			Telemetry:      shares[k],
-			BuildNS:        sres.BuildTime.Nanoseconds(),
-			OptNS:          sres.OptTime.Nanoseconds(),
-			ExtractNS:      sres.ExtractTime.Nanoseconds(),
-			Degraded:       l.key.degraded,
-			Batched:        true,
-			BatchSize:      len(live),
-		}
-		for _, g := range a.Materialized {
-			resp.Materialized = append(resp.Materialized, int(g))
-		}
-		// Checkpoints bind to the combined search space and plan text spans
-		// every member's queries: both are only safe to hand out when the
-		// member IS the whole batch.
-		if len(live) == 1 {
-			resp.Checkpoint = sres.Checkpoint
-			if m.planText {
-				resp.PlanText = sres.Plan.String()
-			}
-		}
-		d.deliver(i, batchOutcome{resp: resp, spent: shares[k].OracleCalls})
+		a.Telemetry = shares[k]
+		resp := respond(l.key, liveMembers[k], sres.RunResult, a)
+		d.deliver(i, batchOutcome{resp: resp, spent: shares[k].OracleCalls}.inBatchOf(len(live)))
 	}
+}
+
+// ones is n unit weights: an even SplitTelemetry split.
+func ones(n int) []int {
+	w := make([]int, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
 }
 
 // faultBatch answers every live member of a faulted shared run: one
 // incident, one quarantine, one breaker failure — but each member is
 // charged its exact telemetry share of the work the run burned before the
 // panic, so the fault costs tenants what it actually cost the server.
-func (b *batcher) faultBatch(l *lane, live []int, sess *repro.Session, fe *repro.FaultError, d *deliverer, nGroups int) {
-	s := b.srv
-	id := s.incident()
-	s.panics.Add(1)
-	s.pool.quarantine(l.key.pool, sess)
-	s.breaker.recordFailure(l.key.pool)
-	s.logf("server: batch %s: optimization faulted (incident %s): %v", l.key.pool, id, fe.Panic)
-	ones := make([]int, len(live))
-	for i := range ones {
-		ones[i] = 1
-	}
-	shares := repro.SplitTelemetry(fe.Telemetry, ones)
+func (b *batcher) faultBatch(l *lane, live []int, sess *repro.Session, fe *repro.FaultError, d *deliverer) {
+	body := b.fault(l.key.pool, sess, "batch "+l.key.pool.String(), fe)
+	body.Checkpoint = nil // it resumes only the combined batch
+	shares := repro.SplitTelemetry(fe.Telemetry, ones(len(live)))
 	if b.onBatchFault != nil {
 		b.onBatchFault(fe.Telemetry, shares)
 	}
 	for k, i := range live {
-		body := &errorBody{
-			Error:    "optimization faulted (incident " + id + ")",
-			Code:     codeInternalPanic,
-			Incident: id,
-		}
-		// A checkpoint from a combined run only resumes the combined
-		// batch; hand it out only when this member is the whole run.
-		if len(live) == 1 && nGroups == 1 {
-			body.Checkpoint = fe.Checkpoint
-		}
 		d.deliver(i, batchOutcome{status: 500, body: body, spent: shares[k].OracleCalls})
 	}
 }
 
-// soloFallback serves each live member with its own solo run on the
-// lane's session after the combined build failed. Error handling mirrors
-// the solo path: faults quarantine and answer 500 with an incident,
-// anything else is the member's own 400.
-func (b *batcher) soloFallback(l *lane, live []int, sess *repro.Session, d *deliverer) {
+// fault handles a run stopped by a recovered worker panic: one incident,
+// one quarantine of the run's session, one breaker failure. It returns
+// the 500 body, carrying whatever resumable state the run had committed.
+func (b *batcher) fault(key poolKey, sess *repro.Session, who string, fe *repro.FaultError) *errorBody {
 	s := b.srv
-	for _, i := range live {
-		m := l.members[i]
-		res, err := sess.Optimize(m.ctx, m.batch, l.key.spec.options()...)
-		if err != nil {
-			var fe *repro.FaultError
-			if errors.As(err, &fe) {
-				id := s.incident()
-				s.panics.Add(1)
-				s.pool.quarantine(l.key.pool, sess)
-				s.breaker.recordFailure(l.key.pool)
-				s.logf("server: %s: optimization faulted (incident %s): %v", m.tenant, id, fe.Panic)
-				d.deliver(i, batchOutcome{
-					status: 500,
-					body: &errorBody{
-						Error:      "optimization faulted (incident " + id + ")",
-						Code:       codeInternalPanic,
-						Incident:   id,
-						Checkpoint: fe.Checkpoint,
-					},
-					spent: fe.Telemetry.OracleCalls,
-				})
-				continue
-			}
-			d.deliver(i, batchOutcome{status: 400, body: &errorBody{Error: err.Error(), Code: codeBadRequest}})
-			continue
-		}
-		if res.Telemetry.Stopped == repro.StopTimeBudget {
-			s.breaker.recordFailure(l.key.pool)
-		} else {
-			s.breaker.recordSuccess(l.key.pool)
-		}
-		resp := &OptimizeResponse{
-			Strategy:     l.key.spec.strategy.String(),
-			Queries:      len(m.batch.Queries),
-			Materialized: make([]int, 0, len(res.Materialized)),
-			CostMS:       res.Cost,
-			VolcanoMS:    res.VolcanoCost,
-			BenefitMS:    res.Benefit,
-			Plan:         summarizePlan(res.Plan),
-			Telemetry:    res.Telemetry,
-			BuildNS:      res.BuildTime.Nanoseconds(),
-			OptNS:        res.OptTime.Nanoseconds(),
-			ExtractNS:    res.ExtractTime.Nanoseconds(),
-			Checkpoint:   res.Checkpoint,
-			Degraded:     l.key.degraded,
-		}
-		for _, g := range res.Materialized {
-			resp.Materialized = append(resp.Materialized, int(g))
-		}
-		if m.planText {
-			resp.PlanText = res.Plan.String()
-		}
-		d.deliver(i, batchOutcome{resp: resp, spent: res.Telemetry.OracleCalls})
+	id := s.incident()
+	s.panics.Add(1)
+	s.pool.quarantine(key, sess)
+	s.breaker.recordFailure(key)
+	s.logf("server: %s: optimization faulted (incident %s): %v", who, id, fe.Panic)
+	return &errorBody{
+		Error:      "optimization faulted (incident " + id + ")",
+		Code:       codeInternalPanic,
+		Incident:   id,
+		Checkpoint: fe.Checkpoint,
 	}
 }
 
-// summarizeMemberPlan renders one member's slice of the combined plan:
-// the materialization steps its attribution owns a share of, and exactly
-// its queries' plans. TotalMS is the member's attributed cost, so a
-// client summing its own responses reconstructs the batch totals.
-func summarizeMemberPlan(cp *physical.ConsolidatedPlan, a repro.Attribution) PlanSummary {
-	ps := PlanSummary{
-		Steps:   make([]StepSummary, 0, len(a.Materialized)),
-		Queries: make([]QuerySummary, 0, a.QueryCount),
-		TotalMS: a.Cost,
+// recordRun feeds a completed run to its catalog's breaker. A deadline
+// stop is a failure — a catalog that cannot finish inside its budgets
+// degrades before it monopolizes the pool.
+func (b *batcher) recordRun(key poolKey, tel core.Telemetry) {
+	if tel.Stopped == repro.StopTimeBudget {
+		b.srv.breaker.recordFailure(key)
+	} else {
+		b.srv.breaker.recordSuccess(key)
 	}
-	for _, st := range cp.Steps {
-		if !a.Set.Has(st.Group) {
-			continue
+}
+
+// runOne runs member m alone on a session of key's catalog and answers
+// it: the run of a lane of one, and the fallback for each member of a
+// lane whose combined build failed. A preemptible run offers m's grant to
+// the scheduler as a preemption victim: asked to suspend, it stops at its
+// next round boundary with a checkpoint, yields the slot, waits for a
+// re-grant and resumes from the checkpoint. Segment telemetry is merged,
+// so the response — and the quota charge — count the run's work exactly
+// once across the suspensions.
+func (b *batcher) runOne(key laneKey, m *batchMember, preemptible bool) batchOutcome {
+	s := b.srv
+	sess, release, err := s.pool.acquire(key.pool)
+	if err != nil {
+		return batchOutcome{status: 500, body: &errorBody{Error: err.Error(), Code: codeInternalError}}
+	}
+	defer release()
+	// A panic past this point may have corrupted the shared session: pull
+	// it from the pool before letting the panic travel on.
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.pool.quarantine(key.pool, sess)
+			s.breaker.recordFailure(key.pool)
+			panic(rec)
 		}
-		ps.Steps = append(ps.Steps, StepSummary{
-			Group:       int(st.Group),
-			Op:          st.Plan.Op,
-			Rows:        st.Plan.Rows,
-			CostMS:      st.Plan.Cost,
-			WriteCostMS: st.WriteCost,
-		})
-	}
-	for i := a.QueryOffset; i < a.QueryOffset+a.QueryCount && i < len(cp.Queries); i++ {
-		name := ""
-		if i < len(cp.QueryNames) {
-			name = cp.QueryNames[i]
+	}()
+
+	g, resume := m.grant, m.resume
+	spent := 0 // oracle calls of the suspended segments
+	var segs []repro.Telemetry
+	var res *repro.RunResult
+	for {
+		opts := key.spec.options()
+		if resume != nil {
+			opts = append(opts, repro.WithResume(resume))
 		}
-		ps.Queries = append(ps.Queries, QuerySummary{
-			Name:      name,
-			Operators: countOps(cp.Queries[i]),
-			CostMS:    cp.Queries[i].Cost,
-		})
+		if preemptible {
+			g.SetPreemptible(true)
+			opts = append(opts, repro.WithPreemptSignal(g.PreemptRequested))
+		}
+		res, err = sess.Optimize(m.ctx, m.batch, opts...)
+		if err != nil || res.Telemetry.Stopped != repro.StopPreempted {
+			break
+		}
+		// Suspended at a round boundary. A nil checkpoint means the
+		// strategy was in a non-checkpointable phase: it still yields, but
+		// restarts from the original request afterwards and stops
+		// volunteering as a victim (the burned segment stays charged).
+		if res.Checkpoint == nil {
+			preemptible = false
+			g.SetPreemptible(false)
+			resume = m.resume
+		} else {
+			resume = res.Checkpoint
+		}
+		if yerr := g.Yield(m.ctx); yerr != nil {
+			// No re-grant (queue-wait timeout or the client left): stop
+			// here. The suspended segment's committed prefix plus its
+			// checkpoint is exactly the shape of a budget stop, so it
+			// falls through to the normal response.
+			s.logf("server: %s: preempted run not resumed: %v", m.tenant, yerr)
+			break
+		}
+		segs = append(segs, res.Telemetry)
+		spent += res.Telemetry.OracleCalls
 	}
-	return ps
+	if preemptible {
+		g.SetPreemptible(false)
+	}
+	if err != nil {
+		var fe *repro.FaultError
+		switch {
+		case errors.As(err, &fe):
+			// A worker panic was recovered inside the optimizer: answer
+			// with an incident id plus any resumable state the run had
+			// committed, and charge the work the faulted run did burn.
+			if b.onBatchFault != nil {
+				b.onBatchFault(fe.Telemetry, []core.Telemetry{fe.Telemetry})
+			}
+			return batchOutcome{status: 500, body: b.fault(key.pool, sess, m.tenant, fe), spent: spent + fe.Telemetry.OracleCalls}
+		case errors.Is(err, repro.ErrResumeMismatch):
+			return batchOutcome{status: 409, body: &errorBody{Error: err.Error(), Code: codeResumeMismatch}, spent: spent}
+		}
+		// NewOptimizer rejects batches that are invalid against the
+		// catalog (unknown tables/columns, malformed predicates): the
+		// request's fault, not the server's.
+		return batchOutcome{status: 400, body: &errorBody{Error: err.Error(), Code: codeBadRequest}, spent: spent}
+	}
+	if len(segs) > 0 {
+		res.Telemetry = repro.MergeSegments(append(segs, res.Telemetry))
+	}
+	b.recordRun(key.pool, res.Telemetry)
+	if b.onBatchComplete != nil {
+		b.onBatchComplete(res.Telemetry, []core.Telemetry{res.Telemetry})
+	}
+
+	resp := respond(key, m, res, repro.Attribution{
+		QueryCount:   len(m.batch.Queries),
+		Materialized: res.Materialized,
+		Set:          res.Set,
+		Cost:         res.Cost,
+		VolcanoCost:  res.VolcanoCost,
+		Benefit:      res.Benefit,
+		Telemetry:    res.Telemetry,
+	})
+	resp.Plan.TotalMS = res.Plan.Total // the whole plan, with its audited total
+	resp.Checkpoint = res.Checkpoint
+	resp.Preemptions = g.Preemptions()
+	if m.resume != nil {
+		resp.Strategy = m.resume.State.Algorithm // non-nil State: decode-validated
+	}
+	if m.planText {
+		resp.PlanText = res.Plan.String()
+	}
+	return batchOutcome{resp: resp, spent: res.Telemetry.OracleCalls}
+}
+
+// respond builds member m's 200 answer from run res and m's attribution
+// a of it (the whole run when m ran alone).
+func respond(key laneKey, m *batchMember, res *repro.RunResult, a repro.Attribution) *OptimizeResponse {
+	resp := &OptimizeResponse{
+		Tenant:         m.tenant,
+		Strategy:       key.spec.strategy.String(),
+		Queries:        len(m.batch.Queries),
+		Materialized:   make([]int, 0, len(a.Materialized)),
+		CostMS:         a.Cost,
+		VolcanoMS:      a.VolcanoCost,
+		BenefitMS:      a.Benefit,
+		SharedCreditMS: a.SharedCredit,
+		Plan:           summarizePlan(res.Plan, a),
+		Telemetry:      a.Telemetry,
+		BuildNS:        res.BuildTime.Nanoseconds(),
+		OptNS:          res.OptTime.Nanoseconds(),
+		ExtractNS:      res.ExtractTime.Nanoseconds(),
+		QueueWaitNS:    m.queueWait.Nanoseconds(),
+		Degraded:       key.degraded,
+	}
+	for _, g := range a.Materialized {
+		resp.Materialized = append(resp.Materialized, int(g))
+	}
+	return resp
 }

@@ -114,28 +114,35 @@
 //
 // # Continuous batching
 //
-// With Config.Batch.Enabled (strictly opt-in — the zero value serves
-// every request solo, exactly as before), admitted optimize requests
-// enter per-lane accumulators instead of running immediately. A lane is
-// keyed by everything that must match for one shared run to stand in for
-// each member's solo run: the catalog (pool key), the fully-clamped
+// Every admitted optimize request takes one path: it becomes a member of
+// a lane, and the batcher runs the lane and answers each member. A lane
+// is keyed by everything that must match for one shared run to stand in
+// for each member's own run: the catalog (pool key), the fully-clamped
 // effective run spec (strategy, parallelism, time and call budgets after
 // tenant caps and degradation clamps), and the degradation flag. Tenancy
 // is deliberately NOT in the key — cross-tenant sharing is the point, and
-// attribution keeps each tenant's accounting exact. Requests carrying a
-// resume checkpoint bypass batching (a checkpoint binds to its original
-// search space).
+// attribution keeps each tenant's accounting exact.
 //
-// A lane flushes when MaxRequests members wait in it, when their combined
-// query count reaches MaxQueries (if set), or when the first member has
-// waited MaxDelay. The flush first excises members whose clients already
-// disconnected (answered 499, never part of the run), then coalesces the
-// rest: members whose batches are structurally identical — equal per-query
-// memo fingerprints and names — collapse into ONE group served by one
-// sub-run (eight identical clients cost one solo run, the throughput
-// lever), while distinct batches stay separate groups of one combined
-// DAG. One Session.OptimizeShared call optimizes all groups together and
-// returns per-group attributions.
+// A lane of one member runs that member alone, with one Session.Optimize
+// run that is preemptible (see above) when its strategy checkpoints. With
+// Batch.MaxRequests ≤ 1 (the zero value) nothing coalesces: every request
+// runs at once as a lane of one, never waiting. So does every request
+// carrying a resume checkpoint, whatever the config (a checkpoint binds
+// to its original search space).
+//
+// With MaxRequests ≥ 2, other requests wait in their lane, which flushes
+// when MaxRequests members wait in it, when their combined query count
+// reaches MaxQueries (if set), or when the first member has waited
+// MaxDelay. The flush first excises members whose clients already
+// disconnected (answered 499, never part of the run). A lone survivor runs
+// alone, preemptible like any lane of one. Otherwise the survivors
+// coalesce: members whose batches are structurally identical — equal
+// per-query memo fingerprints and names — collapse into ONE group served
+// by one sub-run (eight identical clients cost one solo run, the
+// throughput lever), while distinct batches stay separate groups of one
+// combined DAG. One Session.OptimizeShared call optimizes all groups
+// together and returns per-group attributions. A shared run is never
+// preempted.
 //
 // Attribution is exact, not estimated: each member receives its own
 // materialization-set slice, its own plan summary (only its queries, only
@@ -150,18 +157,20 @@
 // never aborts a running shared optimization (the survivors are riding
 // it); only when every member's client is gone is the run cancelled. A
 // member whose batch is invalid against the catalog cannot poison its
-// peers: the combined-build failure falls back to per-member solo runs,
-// so the guilty request gets its own 400 and the others are served
-// unbatched.
+// peers: after a failed combined build each member runs alone (not
+// preemptible), so the guilty request gets its own 400 and the others are
+// served unbatched.
 //
-// Two sharp edges the contract pins down. Privacy/safety: PlanText and
-// resumable checkpoints are only delivered when the batch has exactly one
-// member — a combined run's rendered plan and checkpoints span every
-// member's queries and search space. Sizing: members waiting in a lane
-// hold their admission slots, so a tenant's MaxConcurrent should be at
-// least Batch.MaxRequests (the default 5ms MaxDelay bounds the wait
-// regardless, but an undersized tenant can never fill a lane and loses
-// the coalescing win).
+// Responses carry "batched":true and batch_size when the server batches
+// (MaxRequests ≥ 1) and the request ran in a lane: batch_size 1 for a
+// lane of one, never for a resume request or a fallback run. A member of
+// a shared run gets neither PlanText nor a resumable checkpoint — the
+// combined run's rendered plan and checkpoints span every member's
+// queries and search space; a lane of one gets both, and reports its
+// preemptions. Sizing: members waiting in a lane hold their admission
+// slots, so a tenant's MaxConcurrent should be at least Batch.MaxRequests
+// (the default 5ms MaxDelay bounds the wait regardless, but an undersized
+// tenant can never fill a lane and loses the coalescing win).
 //
 // # Fault tolerance
 //

@@ -82,11 +82,21 @@ func assertSameResult(t *testing.T, label string, got *OptimizeResponse, ref *re
 // only slot suspends that run at its next round boundary, is served, and
 // the bulk run transparently resumes — its response is bit-identical to an
 // unpreempted run (same materialization, same costs, same oracle-call and
-// round counts) and reports the suspensions it absorbed.
+// round counts) and reports the suspensions it absorbed. It holds with
+// batching off and on: a lane left with one member runs preemptible too.
 func TestPreemptRoundBoundaryBitIdentical(t *testing.T) {
+	for _, batch := range []BatchConfig{{}, {MaxRequests: 8}} {
+		t.Run(fmt.Sprintf("batch-max=%d", batch.MaxRequests), func(t *testing.T) {
+			testPreemptRoundBoundaryBitIdentical(t, batch)
+		})
+	}
+}
+
+func testPreemptRoundBoundaryBitIdentical(t *testing.T, batch BatchConfig) {
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
 		Sched:         SchedConfig{Slots: 1},
+		Batch:         batch,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -51,7 +51,7 @@ type Config struct {
 	// open serving after repeated faults).
 	Breaker BreakerConfig
 	// Batch parameterizes cross-request continuous batching; the zero
-	// value disables it and every request is served solo.
+	// value does no coalescing and every request runs alone.
 	Batch BatchConfig
 	// Sched parameterizes the scheduler policy layer over a shared
 	// worker-slot pool: deficit-round-robin weighted-fair dispatch,
@@ -86,9 +86,7 @@ func (c Config) normalize() Config {
 		c.AllowedSFs = append(c.AllowedSFs, c.DefaultSF)
 	}
 	c.Breaker = c.Breaker.normalize()
-	if c.Batch.Enabled {
-		c.Batch = c.Batch.normalize()
-	}
+	c.Batch = c.Batch.normalize()
 	c.Sched = c.Sched.normalize()
 	return c
 }
@@ -99,7 +97,7 @@ type Server struct {
 	adm      *Admission
 	pool     *sessionPool
 	breaker  *breaker
-	batcher  *batcher // nil unless Config.Batch.Enabled
+	batcher  *batcher
 	started  time.Time
 	draining atomic.Bool
 	// panics counts panics recovered anywhere on the serving path
@@ -127,9 +125,7 @@ func New(cfg Config) *Server {
 		breaker: newBreaker(cfg.Breaker),
 		started: time.Now(),
 	}
-	if cfg.Batch.Enabled {
-		s.batcher = newBatcher(s, cfg.Batch)
-	}
+	s.batcher = newBatcher(s, cfg.Batch)
 	return s
 }
 
@@ -270,7 +266,7 @@ func requestCost(req *OptimizeRequest) int {
 }
 
 // preemptibleStrategy reports whether a strategy checkpoints at round
-// boundaries, which is what makes its solo runs safe to suspend and
+// boundaries, which is what makes its lone runs safe to suspend and
 // resume bit-identically.
 func preemptibleStrategy(s core.Strategy) bool {
 	switch s {
@@ -457,175 +453,30 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	tenantCfg := s.adm.Config(tenantName)
 
-	// Continuous batching: an admitted, breaker-cleared request without a
-	// resume checkpoint enqueues into its lane and blocks for its
-	// attributed slice of the shared run (checkpoints bind to a single
-	// search space, so resume stays on the solo path). The outcome always
-	// arrives — the run path is panic-isolated — and carries the member's
-	// exact oracle-call share for the quota charge.
-	if s.batcher != nil && req.Resume == nil {
-		fp, _ := batchFingerprint(batch)
-		out := s.batcher.submit(
-			laneKey{pool: key, spec: effectiveSpec(req, tenantCfg, degCfg), degraded: degraded},
-			&batchMember{
-				ctx:      ctx,
-				batch:    batch,
-				fp:       fp,
-				tenant:   tenantName,
-				planText: req.PlanText,
-				outcome:  make(chan batchOutcome, 1),
-			})
-		spent = out.spent
-		switch {
-		case out.cancelled:
-			w.WriteHeader(499) // the client is gone; nginx's convention
-		case out.resp != nil:
-			out.resp.Tenant = tenantName
-			out.resp.QueueWaitNS = queueWait.Nanoseconds()
-			writeJSON(w, http.StatusOK, out.resp)
-		default:
-			writeJSON(w, out.status, out.body)
-		}
-		return
+	// Every admitted, breaker-cleared request runs through the batcher —
+	// alone or coalesced into its lane's shared run — and blocks for its
+	// outcome, which carries the request's exact oracle-call share for the
+	// quota charge.
+	out := s.batcher.submit(
+		laneKey{pool: key, spec: effectiveSpec(req, tenantCfg, degCfg), degraded: degraded},
+		&batchMember{
+			ctx:       ctx,
+			batch:     batch,
+			tenant:    tenantName,
+			planText:  req.PlanText,
+			grant:     g,
+			resume:    req.Resume,
+			queueWait: queueWait,
+		})
+	spent = out.spent
+	switch {
+	case out.cancelled:
+		w.WriteHeader(499) // the client is gone; nginx's convention
+	case out.resp != nil:
+		writeJSON(w, http.StatusOK, out.resp)
+	default:
+		writeJSON(w, out.status, out.body)
 	}
-
-	sess, poolRelease, err := s.pool.acquire(key)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternalError, err.Error(), 0)
-		return
-	}
-	defer poolRelease()
-	// A panic past this point may have corrupted the shared session: pull
-	// it from the pool before letting the middleware answer the request.
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.pool.quarantine(key, sess)
-			s.breaker.recordFailure(key)
-			panic(rec)
-		}
-	}()
-
-	rs := effectiveSpec(req, tenantCfg, degCfg)
-	stratName := rs.strategy.String()
-	resume := req.Resume
-	if resume != nil {
-		stratName = resume.State.Algorithm // non-nil State: decode-validated
-	}
-	// A solo run under a checkpoint-capable strategy is preemptible: the
-	// scheduler may ask it to suspend at its next round boundary to serve a
-	// nearer-deadline request, after which the handler yields the slot,
-	// waits for a re-grant and resumes from the checkpoint. Segment
-	// telemetry is merged so the response — and the quota charge — account
-	// the run's work exactly once across the suspensions.
-	preemptible := resume != nil || preemptibleStrategy(rs.strategy)
-	var segs []repro.Telemetry
-	var res *repro.RunResult
-	for {
-		runOpts := rs.options()
-		if resume != nil {
-			runOpts = append(runOpts, repro.WithResume(resume))
-		}
-		if preemptible {
-			g.SetPreemptible(true)
-			runOpts = append(runOpts, repro.WithPreemptSignal(g.PreemptRequested))
-		}
-		res, err = sess.Optimize(ctx, batch, runOpts...)
-		if err != nil {
-			g.SetPreemptible(false)
-			for _, t := range segs {
-				spent += t.OracleCalls
-			}
-			var fe *repro.FaultError
-			switch {
-			case errors.As(err, &fe):
-				// A worker panic was recovered inside the optimizer: answer
-				// with an incident id (plus any resumable state the run had
-				// committed), quarantine the session, and charge the tenant
-				// for the work the faulted run did burn.
-				id := s.incident()
-				s.panics.Add(1)
-				s.pool.quarantine(key, sess)
-				s.breaker.recordFailure(key)
-				s.logf("server: %s: optimization faulted (incident %s): %v", tenantName, id, fe.Panic)
-				spent += fe.Telemetry.OracleCalls
-				writeJSON(w, http.StatusInternalServerError, errorBody{
-					Error:      "optimization faulted (incident " + id + ")",
-					Code:       codeInternalPanic,
-					Incident:   id,
-					Checkpoint: fe.Checkpoint,
-				})
-			case errors.Is(err, repro.ErrResumeMismatch):
-				writeError(w, http.StatusConflict, codeResumeMismatch, err.Error(), 0)
-			default:
-				// NewOptimizer rejects batches that are invalid against the
-				// catalog (unknown tables/columns, malformed predicates): the
-				// request's fault, not the server's.
-				writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
-			}
-			return
-		}
-		if res.Telemetry.Stopped != repro.StopPreempted {
-			break
-		}
-		// Suspended at a round boundary. A nil checkpoint means the
-		// strategy was in a non-checkpointable phase: it still yields, but
-		// restarts from the original request afterwards and stops
-		// volunteering as a victim (the burned segment stays charged).
-		if res.Checkpoint == nil {
-			preemptible = false
-			g.SetPreemptible(false)
-			resume = req.Resume
-		} else {
-			resume = res.Checkpoint
-		}
-		if yerr := g.Yield(ctx); yerr != nil {
-			// No re-grant (queue-wait timeout or the client left): stop
-			// here. The suspended segment's committed prefix plus its
-			// checkpoint is exactly the shape of a budget stop, so it
-			// falls through to the normal response.
-			s.logf("server: %s: preempted run not resumed: %v", tenantName, yerr)
-			break
-		}
-		segs = append(segs, res.Telemetry)
-	}
-	g.SetPreemptible(false)
-	if len(segs) > 0 {
-		res.Telemetry = repro.MergeSegments(append(segs, res.Telemetry))
-	}
-	spent = res.Telemetry.OracleCalls
-	// A deadline stop is a breaker failure — a catalog that cannot finish
-	// inside its budgets degrades before it monopolizes the pool.
-	if res.Telemetry.Stopped == repro.StopTimeBudget {
-		s.breaker.recordFailure(key)
-	} else {
-		s.breaker.recordSuccess(key)
-	}
-
-	resp := &OptimizeResponse{
-		Tenant:       tenantName,
-		Strategy:     stratName,
-		Queries:      len(batch.Queries),
-		Materialized: make([]int, 0, len(res.Materialized)),
-		CostMS:       res.Cost,
-		VolcanoMS:    res.VolcanoCost,
-		BenefitMS:    res.Benefit,
-		Plan:         summarizePlan(res.Plan),
-		Telemetry:    res.Telemetry,
-		BuildNS:      res.BuildTime.Nanoseconds(),
-		OptNS:        res.OptTime.Nanoseconds(),
-		ExtractNS:    res.ExtractTime.Nanoseconds(),
-		QueueWaitNS:  queueWait.Nanoseconds(),
-		Checkpoint:   res.Checkpoint,
-		Degraded:     degraded,
-		Preemptions:  g.Preemptions(),
-	}
-	for _, g := range res.Materialized {
-		resp.Materialized = append(resp.Materialized, int(g))
-	}
-	if req.PlanText {
-		resp.PlanText = res.Plan.String()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // rejected maps an admission error onto its HTTP status.

@@ -175,9 +175,10 @@ type OptimizeResponse struct {
 	// boundary to serve nearer-deadline work, then transparently resumed;
 	// Telemetry is the conserving merge of all its segments.
 	Preemptions int `json:"preemptions,omitempty"`
-	// Batched marks a response served by the continuous-batching
-	// scheduler: the run was shared with BatchSize requests and this
-	// response is the request's attributed slice of it. Telemetry is the
+	// Batched marks a response served from a lane of a batching server
+	// (BatchConfig.MaxRequests ≥ 1): the run was shared with BatchSize
+	// requests (1: it ran alone) and this response is the request's
+	// attributed slice of it. Telemetry is the
 	// request's conserving share of the run's counters (summing the shares
 	// across the batch reproduces the run exactly), while the costs
 	// describe the request's own plan.
@@ -213,14 +214,20 @@ type QuerySummary struct {
 	CostMS    float64 `json:"cost_ms"`
 }
 
-// summarizePlan flattens a ConsolidatedPlan into the wire summary.
-func summarizePlan(cp *physical.ConsolidatedPlan) PlanSummary {
+// summarizePlan renders attribution a's slice of a consolidated plan:
+// the materialization steps a owns a share of, and exactly its queries'
+// plans. TotalMS is the member's attributed cost, so a
+// client summing its own responses reconstructs the batch totals.
+func summarizePlan(cp *physical.ConsolidatedPlan, a repro.Attribution) PlanSummary {
 	ps := PlanSummary{
-		Steps:   make([]StepSummary, 0, len(cp.Steps)),
-		Queries: make([]QuerySummary, 0, len(cp.Queries)),
-		TotalMS: cp.Total,
+		Steps:   make([]StepSummary, 0, len(a.Materialized)),
+		Queries: make([]QuerySummary, 0, a.QueryCount),
+		TotalMS: a.Cost,
 	}
 	for _, st := range cp.Steps {
+		if !a.Set.Has(st.Group) {
+			continue
+		}
 		ps.Steps = append(ps.Steps, StepSummary{
 			Group:       int(st.Group),
 			Op:          st.Plan.Op,
@@ -229,15 +236,15 @@ func summarizePlan(cp *physical.ConsolidatedPlan) PlanSummary {
 			WriteCostMS: st.WriteCost,
 		})
 	}
-	for i, q := range cp.Queries {
+	for i := a.QueryOffset; i < a.QueryOffset+a.QueryCount && i < len(cp.Queries); i++ {
 		name := ""
 		if i < len(cp.QueryNames) {
 			name = cp.QueryNames[i]
 		}
 		ps.Queries = append(ps.Queries, QuerySummary{
 			Name:      name,
-			Operators: countOps(q),
-			CostMS:    q.Cost,
+			Operators: countOps(cp.Queries[i]),
+			CostMS:    cp.Queries[i].Cost,
 		})
 	}
 	return ps

@@ -32,8 +32,6 @@
 //
 // # Migration from the one-shot facade
 //
-//	repro.Optimize(cat, batch, strat)      -> NewSession(cat, cost.Default()) +
-//	                                          Session.Optimize(ctx, batch, WithStrategy(strat))
 //	volcano.NewOptimizer + core.Run        -> core.RunWith(ctx, opt, strat, core.Config{...})
 //	opt.Plan(res.MatSet())                 -> RunResult.Plan (already extracted, Validate() to audit)
 //
@@ -56,12 +54,7 @@
 package repro
 
 import (
-	"context"
-
-	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/logical"
 	"repro/internal/physical"
 )
 
@@ -81,21 +74,3 @@ type Result = core.Result
 
 // Plan is an extracted consolidated physical plan.
 type Plan = physical.ConsolidatedPlan
-
-// Optimize runs multi-query optimization over a batch with the paper's
-// cost-model constants and returns the result together with the
-// consolidated plan.
-//
-// Deprecated: Optimize builds a throwaway session per call and cannot be
-// cancelled or budgeted. Use NewSession and Session.Optimize.
-func Optimize(cat *catalog.Catalog, batch *logical.Batch, strategy Strategy) (Result, *Plan, error) {
-	sess, err := NewSession(cat, cost.Default(), WithStrategy(strategy))
-	if err != nil {
-		return Result{}, nil, err
-	}
-	r, err := sess.Optimize(context.Background(), batch)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return r.Result, r.Plan, nil
-}

@@ -1,22 +1,38 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/cost"
+	"repro/internal/logical"
 	"repro/internal/parser"
 	"repro/internal/tpcd"
 )
 
+// optimizeFresh optimizes batch on a fresh Session with the paper's
+// cost-model constants.
+func optimizeFresh(t *testing.T, cat *catalog.Catalog, batch *logical.Batch, strategy Strategy) (*RunResult, error) {
+	t.Helper()
+	sess, err := NewSession(cat, cost.Default(), WithStrategy(strategy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess.Optimize(context.Background(), batch)
+}
+
 func TestOptimizeFacade(t *testing.T) {
 	cat, batch := tpcd.ExampleOneInstance()
-	v, vplan, err := Optimize(cat, batch, Volcano)
+	v, err := optimizeFresh(t, cat, batch, Volcano)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, mplan, err := Optimize(cat, batch, MarginalGreedy)
+	m, err := optimizeFresh(t, cat, batch, MarginalGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vplan, mplan := v.Plan, m.Plan
 	if m.Cost > v.Cost {
 		t.Errorf("MarginalGreedy %.1f worse than Volcano %.1f", m.Cost, v.Cost)
 	}
@@ -33,7 +49,7 @@ func TestOptimizeFacade(t *testing.T) {
 
 func TestOptimizeRejectsInvalidBatch(t *testing.T) {
 	cat := tpcd.Catalog(1)
-	if _, _, err := Optimize(cat, nil, Greedy); err == nil {
+	if _, err := optimizeFresh(t, cat, nil, Greedy); err == nil {
 		t.Error("nil batch accepted")
 	}
 }
@@ -49,14 +65,15 @@ func TestSQLToPlanEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := tpcd.Catalog(1)
-	v, _, err := Optimize(cat, batch, Volcano)
+	v, err := optimizeFresh(t, cat, batch, Volcano)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, plan, err := Optimize(cat, batch, MarginalGreedy)
+	g, err := optimizeFresh(t, cat, batch, MarginalGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := g.Plan
 	if g.Cost >= v.Cost {
 		t.Errorf("subsumption pair found no sharing: %v vs %v", g.Cost, v.Cost)
 	}
