@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/memo"
+	"repro/internal/tpcd"
+	"repro/internal/workload"
 )
 
 // l1TestMask derives the i-th distinct test mask. The multiplier is odd,
@@ -296,6 +299,64 @@ func BenchmarkL1Probe(b *testing.B) {
 			}
 		}
 		benchSink = sink
+	})
+}
+
+// BenchmarkSharedCache measures the L2 on a 64-query batch's learning:
+// lookups that hit and that miss (the greedy scan's common case on a
+// fresh batch), and a whole PublishCache of that learning into a warm
+// cache. All three must be allocation-free.
+func BenchmarkSharedCache(b *testing.B) {
+	m, err := memo.Build(tpcd.Catalog(1), cost.Default(), workload.MustGenerate(workload.DefaultSpec(64, 0.25)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewSearcher(m)
+	cache := NewSharedCache()
+	s.AttachSharedCache(cache)
+	sh := s.M.Shareable()
+	mats := []NodeSet{{}}
+	for i := range sh {
+		mats = append(mats, s.NewNodeSet(sh[i]), s.NewNodeSet(sh[:i+1]...))
+	}
+	if _, ok := s.BestCostBatchCtx(nil, mats); !ok {
+		b.Fatal("batch aborted")
+	}
+	s.PublishCache()
+	ns := s.cacheNS()
+	var keys []cacheKey
+	for i := range cache.shards {
+		shard := &cache.shards[i]
+		for j := range shard.tab {
+			if e := &shard.tab[j]; e.gen == shard.gen && e.ns == ns {
+				keys = append(keys, e.key())
+			}
+		}
+	}
+	if len(keys) == 0 {
+		b.Fatal("publish stored nothing")
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	lookups := func(b *testing.B, flip uint64) {
+		b.ReportAllocs()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			k := keys[i%len(keys)]
+			k.mask ^= flip
+			if v, ok := cache.get(ns, k); ok {
+				sink += v
+			}
+		}
+		benchSink = sink
+	}
+	b.Run("get-hit", func(b *testing.B) { lookups(b, 0) })
+	b.Run("get-miss", func(b *testing.B) { lookups(b, 0x5555) })
+	b.Run("publish-64q", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.PublishCache()
+		}
+		b.ReportMetric(float64(len(keys)), "entries")
 	})
 }
 

@@ -74,14 +74,23 @@
 //     bumping the worker's l1Epoch; backing arrays are reused, and a
 //     stale bucket self-clears on its next store.
 //  3. SharedCache L2: the optionally attached, lock-striped cross-worker
-//     tier. The hot path never locks it on store — fresh values go only
-//     to the L1 and PublishCache drains them into the L2 in bulk; an L2
-//     hit (including a key the L1 evicted after an earlier publish) is
+//     tier of 64 shards, each a flat open-addressed table of inline
+//     40-byte slots (namespace, mask, value, group, order, compute) —
+//     power-of-two length, linear probing from a home position taken
+//     from hash bits disjoint from the shard bits, doubled at 3/4 load.
+//     Slots carry the shard generation that wrote them, so a shard
+//     reset is O(1) and keeps its array; a per-shard epoch stands in for
+//     per-entry cache epochs and a per-shard live count makes Len
+//     O(shards). The hot path never locks it on store — fresh values go
+//     only to the L1 and PublishCache drains them into the L2 in bulk,
+//     grouping each worker's entries by shard in a buffer the cache
+//     reuses, so a steady-state publish allocates nothing; an L2 hit
+//     (including a key the L1 evicted after an earlier publish) is
 //     promoted back into the L1 and front, paying its read lock at most
-//     once per worker. Shard capacity is enforced per merge: a shard
-//     over cap is reset at most once, before the batch's writes, so one
-//     publish can never evict its own entries (the old per-entry reset
-//     kept only the tail of a batch at or over cap).
+//     once per worker. Shard capacity (8,192 entries) is enforced per
+//     merge: a shard over cap is reset at most once, before the batch's
+//     writes, so one publish can never evict its own entries (the old
+//     per-entry reset kept only the tail of a batch at or over cap).
 //
 // repro.Session owns one SharedCache per session, so identical batches
 // start warm; entries are namespaced by the searcher's structural

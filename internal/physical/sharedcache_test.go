@@ -1,10 +1,17 @@
 package physical
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/memo"
 )
 
 // TestSharedCacheWarmStartAcrossSearchers: two searchers compiled from
@@ -247,4 +254,396 @@ func TestBestCostBatchCtxReturnsCompletedPrefix(t *testing.T) {
 	if ok || len(costs) != 0 {
 		t.Errorf("dead-context batch: ok=%v prefix=%d, want false/empty", ok, len(costs))
 	}
+}
+
+// mapModel is the map-per-shard SharedCache the flat tables replaced,
+// kept as the reference its observable behaviour must match: the same
+// shard choice, a per-entry cache epoch (stale entries stay in the map
+// and count against the cap), the per-shard cap with a reset at most
+// once per merge before its writes, and a reset at the cap in
+// PutBenefit.
+type mapModel struct {
+	epoch  uint64
+	shards [sharedCacheShards]map[mapModelKey]mapModelEntry
+}
+
+type mapModelKey struct {
+	ns uint64
+	k  cacheKey
+}
+
+type mapModelEntry struct {
+	v     float64
+	epoch uint64
+}
+
+func newMapModel() *mapModel {
+	m := &mapModel{}
+	for i := range m.shards {
+		m.shards[i] = make(map[mapModelKey]mapModelEntry)
+	}
+	return m
+}
+
+func (m *mapModel) shardIndex(ns uint64, k cacheKey) uint64 {
+	h := ns ^ k.mask ^ uint64(uint32(k.g))<<29 ^ uint64(uint32(k.ord))<<13
+	if k.compute {
+		h ^= 0x9e3779b97f4a7c15
+	}
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h & (sharedCacheShards - 1)
+}
+
+func (m *mapModel) invalidate() { m.epoch++ }
+
+func (m *mapModel) get(ns uint64, k cacheKey) (float64, bool) {
+	e, ok := m.shards[m.shardIndex(ns, k)][mapModelKey{ns, k}]
+	if !ok || e.epoch != m.epoch {
+		return 0, false
+	}
+	return e.v, true
+}
+
+func (m *mapModel) putBenefit(ns, key uint64, v float64) {
+	k := cacheKey{g: benefitGroup, mask: key}
+	i := m.shardIndex(ns, k)
+	if len(m.shards[i]) >= sharedShardCap {
+		m.shards[i] = make(map[mapModelKey]mapModelEntry)
+	}
+	m.shards[i][mapModelKey{ns, k}] = mapModelEntry{v: v, epoch: m.epoch}
+}
+
+func (m *mapModel) merge(ns uint64, kvs []sharedKV) {
+	buckets := make([][]sharedKV, sharedCacheShards)
+	for _, e := range kvs {
+		h := m.shardIndex(ns, e.k)
+		buckets[h] = append(buckets[h], e)
+	}
+	for i, b := range buckets {
+		if len(b) == 0 {
+			continue
+		}
+		if len(m.shards[i])+len(b) > sharedShardCap {
+			m.shards[i] = make(map[mapModelKey]mapModelEntry, len(b))
+		}
+		for _, e := range b {
+			m.shards[i][mapModelKey{ns, e.k}] = mapModelEntry{v: e.v, epoch: m.epoch}
+		}
+	}
+}
+
+func (m *mapModel) len() int {
+	n := 0
+	for _, sh := range m.shards {
+		for _, e := range sh {
+			if e.epoch == m.epoch {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// export builds the canonical snapshot of the live entries the way
+// SharedCache.Export specifies it: namespaces and entries sorted, every
+// 64-bit quantity fixed-width hex, the content checksum last.
+func (m *mapModel) export(scope string) *CacheSnapshot {
+	byNS := make(map[uint64][]SnapshotEntry)
+	for _, sh := range m.shards {
+		for k, e := range sh {
+			if e.epoch != m.epoch {
+				continue
+			}
+			byNS[k.ns] = append(byNS[k.ns], SnapshotEntry{
+				G: int(k.k.g), Ord: int(k.k.ord), Compute: k.k.compute,
+				Mask: hex16(k.k.mask), V: hex16(math.Float64bits(e.v)),
+			})
+		}
+	}
+	snap := &CacheSnapshot{Version: snapshotVersion, Scope: scope}
+	var nss []uint64
+	for ns := range byNS {
+		nss = append(nss, ns)
+	}
+	sort.Slice(nss, func(a, b int) bool { return nss[a] < nss[b] })
+	for _, ns := range nss {
+		es := byNS[ns]
+		sort.Slice(es, func(a, b int) bool { return entryLess(&es[a], &es[b]) })
+		snap.Namespaces = append(snap.Namespaces, SnapshotNamespace{NS: hex16(ns), Entries: es})
+	}
+	snap.Checksum = snap.checksum()
+	return snap
+}
+
+// ageGenerations moves every shard's generation counter to just below
+// its wrap, shifting the stamps with it, so the next few resets and
+// invalidations exercise renumber. What the cache holds is unchanged.
+func ageGenerations(c *SharedCache) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		if sh.tab == nil || sh.gen >= math.MaxUint32-2 {
+			continue
+		}
+		d := math.MaxUint32 - 2 - sh.gen
+		for j := range sh.tab {
+			if sh.tab[j].gen >= sh.base {
+				sh.tab[j].gen += d
+			}
+		}
+		sh.base += d
+		sh.gen += d
+	}
+}
+
+// TestSharedCacheMatchesMapModel drives the flat-table SharedCache and
+// the map-per-shard reference with the same operations: first a scripted
+// prefix (stale entries left by an Invalidate count against the cap,
+// survive the table's growth and are revived in place), then seeded
+// random merges (three namespaces, most keys funnelled into one hot shard
+// so it reaches the cap, bulk merges whose own bucket exceeds the cap,
+// fills to exactly the cap), PutBenefit at and below the cap, Invalidate
+// and generation wrap. After every operation the two must agree on get
+// and GetBenefit over the keys the operation touched plus a sample of the
+// key pool, on Len, and on the exported snapshot's bytes — and Len must
+// equal the number of exported entries.
+func TestSharedCacheMatchesMapModel(t *testing.T) {
+	seeds, ops := []int64{1, 2, 3}, 60
+	if testing.Short() {
+		seeds, ops = seeds[:1], 24
+	}
+	nss := []uint64{0x5eed0001, 0xc0ffee00c0ffee, 0xfeedfacecafebeef}
+	for _, seed := range seeds {
+		rng := rand.New(rand.NewSource(seed))
+		c, m := NewSharedCache(), newMapModel()
+		hot := c.shardIndex(nss[0], cacheKey{g: 1, mask: 1})
+		// Per namespace: a pool of keys in the hot shard (costs and
+		// benefits) and a few keys anywhere.
+		type pool struct{ hot, cold, benefit []cacheKey }
+		pools := make([]pool, len(nss))
+		for pi, ns := range nss {
+			p := &pools[pi]
+			for len(p.hot) < sharedShardCap+sharedShardCap/4 {
+				k := cacheKey{g: memo.GroupID(rng.Intn(12)), ord: ordID(rng.Intn(4)), compute: rng.Intn(2) == 0, mask: rng.Uint64()}
+				if c.shardIndex(ns, k) == hot {
+					p.hot = append(p.hot, k)
+				} else if len(p.cold) < 256 {
+					p.cold = append(p.cold, k)
+				}
+			}
+			for len(p.benefit) < 512 {
+				k := cacheKey{g: benefitGroup, mask: rng.Uint64()}
+				if c.shardIndex(ns, k) == hot || len(p.benefit)%8 == 0 {
+					p.benefit = append(p.benefit, k)
+				}
+			}
+		}
+		pick := func(ks []cacheKey) cacheKey { return ks[rng.Intn(len(ks))] }
+		both := func(ns uint64, kvs []sharedKV) {
+			c.merge(ns, kvs)
+			m.merge(ns, kvs)
+		}
+		kvsOf := func(ks []cacheKey) []sharedKV {
+			kvs := make([]sharedKV, len(ks))
+			for i, k := range ks {
+				kvs[i] = sharedKV{k: k, v: rng.Float64()}
+			}
+			return kvs
+		}
+		check := func(op int, what string, touched []cacheKey) {
+			t.Helper()
+			for i := 0; i < 256; i++ {
+				q := &pools[rng.Intn(len(nss))]
+				touched = append(touched, pick(q.hot), pick(q.cold), pick(q.benefit))
+			}
+			for _, k := range touched {
+				for _, ns := range nss {
+					gv, gok := c.get(ns, k)
+					wv, wok := m.get(ns, k)
+					if gok != wok || gv != wv {
+						t.Fatalf("seed %d op %d (%s): get(%x, %+v) = %v, %v; reference %v, %v", seed, op, what, ns, k, gv, gok, wv, wok)
+					}
+					if k.g == benefitGroup {
+						if bv, bok := c.GetBenefit(ns, k.mask); bok != wok || bv != wv {
+							t.Fatalf("seed %d op %d (%s): GetBenefit = %v, %v; reference %v, %v", seed, op, what, bv, bok, wv, wok)
+						}
+					}
+				}
+			}
+			if got, want := c.Len(), m.len(); got != want {
+				t.Fatalf("seed %d op %d (%s): Len %d, reference %d", seed, op, what, got, want)
+			}
+			snap := c.Export("model")
+			exported := 0
+			for _, n := range snap.Namespaces {
+				exported += len(n.Entries)
+			}
+			if exported != c.Len() {
+				t.Fatalf("seed %d op %d (%s): Len %d but Export holds %d entries", seed, op, what, c.Len(), exported)
+			}
+			got, err := snap.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.export("model").Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d op %d (%s): Export bytes differ from the reference (%d vs %d bytes)", seed, op, what, len(got), len(want))
+			}
+		}
+
+		// The scripted prefix: A is written, turned stale, and partly
+		// revived while B grows the table past 8,192 slots; a fill then
+		// brings the shard, stale entries included, to exactly the cap,
+		// and one more key must reset it.
+		a, b := pools[0].hot[:3500], pools[0].hot[3500:7000]
+		script := []struct {
+			what string
+			run  func()
+		}{
+			{"merge A", func() { both(nss[0], kvsOf(a)) }},
+			{"Invalidate", func() { c.Invalidate(); m.invalidate() }},
+			{"merge B", func() { both(nss[0], kvsOf(b)) }},
+			{"revive part of A", func() { both(nss[0], kvsOf(a[:1000])) }},
+			{"fill to cap", func() { both(nss[0], kvsOf(pools[0].hot[7000:7000+sharedShardCap-len(m.shards[hot])])) }},
+			{"one past cap", func() { both(nss[0], kvsOf(a[1000:1001])) }},
+		}
+		for op, st := range script {
+			st.run()
+			check(op, st.what, pools[0].hot[:7000])
+		}
+
+		for op := len(script); op < len(script)+ops; op++ {
+			pi := rng.Intn(len(nss))
+			ns, p := nss[pi], &pools[pi]
+			var touched []cacheKey
+			var what string
+			switch r := rng.Intn(20); {
+			case r < 10:
+				what = "merge"
+				ks := make([]cacheKey, 1+rng.Intn(3000))
+				for i := range ks {
+					ks[i] = pick(p.hot)
+					if rng.Intn(8) == 0 {
+						ks[i] = pick(p.cold)
+					}
+				}
+				both(ns, kvsOf(ks))
+				touched = ks
+			case r < 12:
+				what = "merge over cap"
+				off := rng.Intn(len(p.hot) - sharedShardCap - 64)
+				touched = p.hot[off : off+sharedShardCap+64]
+				both(ns, kvsOf(touched))
+			case r < 13:
+				// Fill the hot shard to exactly the cap with keys it does
+				// not hold, then probe the boundary: one more merged key
+				// or PutBenefit must reset it, the fill itself must not.
+				what = "fill to cap"
+				held := m.shards[hot]
+				for _, k := range p.hot {
+					if len(held)+len(touched) >= sharedShardCap {
+						break
+					}
+					if _, ok := held[mapModelKey{ns, k}]; !ok {
+						touched = append(touched, k)
+					}
+				}
+				both(ns, kvsOf(touched))
+				switch rng.Intn(3) {
+				case 0:
+					k := pick(p.hot)
+					both(ns, kvsOf([]cacheKey{k}))
+					touched = append(touched, k)
+				case 1:
+					for _, k := range p.benefit {
+						if c.shardIndex(ns, k) == hot {
+							c.PutBenefit(ns, k.mask, 2)
+							m.putBenefit(ns, k.mask, 2)
+							touched = append(touched, k)
+							break
+						}
+					}
+				}
+			case r < 16:
+				what = "PutBenefit"
+				for i := 0; i < 1+rng.Intn(64); i++ {
+					k, v := pick(p.benefit), rng.Float64()
+					c.PutBenefit(ns, k.mask, v)
+					m.putBenefit(ns, k.mask, v)
+					touched = append(touched, k)
+				}
+			case r < 18:
+				what = "Invalidate"
+				c.Invalidate()
+				m.invalidate()
+			default:
+				what = "generation wrap"
+				ageGenerations(c)
+			}
+			check(op, what, touched)
+		}
+	}
+}
+
+// TestPublishCacheSteadyStateAllocs: re-publishing same-shaped learning
+// into a warm cache, and L2 lookups that hit or miss, allocate nothing;
+// and a table slot stays within 40 bytes.
+func TestPublishCacheSteadyStateAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(sharedSlot{}); size > 40 {
+		t.Errorf("sharedSlot is %d bytes, want ≤ 40", size)
+	}
+	s := buildSearcher(t, sharedPairQueries()...)
+	s.Parallelism = 2
+	cache := NewSharedCache()
+	s.AttachSharedCache(cache)
+	sh := s.M.Shareable()
+	mats := []NodeSet{{}}
+	for i := range sh {
+		mats = append(mats, s.NewNodeSet(sh[i]), s.NewNodeSet(sh[:i+1]...))
+	}
+	if _, ok := s.BestCostBatchCtx(nil, mats); !ok {
+		t.Fatal("batch aborted")
+	}
+	s.PublishCache()
+	n := cache.Len()
+	if n == 0 {
+		t.Fatal("publish stored nothing")
+	}
+	if allocs := testing.AllocsPerRun(20, s.PublishCache); allocs != 0 {
+		t.Errorf("steady-state PublishCache: %v allocs/op, want 0", allocs)
+	}
+	if cache.Len() != n {
+		t.Errorf("re-publishing the same learning changed Len %d -> %d", n, cache.Len())
+	}
+
+	ns := s.cacheNS()
+	var hit cacheKey
+	for i := range cache.shards {
+		if e := cache.shards[i].tab; len(e) > 0 {
+			for j := range e {
+				if e[j].gen == cache.shards[i].gen {
+					hit = e[j].key()
+				}
+			}
+		}
+	}
+	if _, ok := cache.get(ns, hit); !ok {
+		t.Fatal("no live key found to look up")
+	}
+	miss := hit
+	miss.mask ^= 0x5555
+	if _, ok := cache.get(ns, miss); ok {
+		t.Fatal("miss key unexpectedly present")
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { v, _ := cache.get(ns, hit); sink += v }); allocs != 0 {
+		t.Errorf("get hit: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { v, _ := cache.get(ns, miss); sink += v }); allocs != 0 {
+		t.Errorf("get miss: %v allocs/op, want 0", allocs)
+	}
+	benchSink = sink
 }

@@ -131,17 +131,20 @@ func (c *SharedCache) Export(scope string) *CacheSnapshot {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		for k, e := range sh.m {
-			if e.epoch != ep {
-				continue
+		if sh.epoch == ep {
+			for j := range sh.tab {
+				e := &sh.tab[j]
+				if e.gen != sh.gen {
+					continue
+				}
+				byNS[e.ns] = append(byNS[e.ns], SnapshotEntry{
+					G:       int(e.g),
+					Ord:     int(e.ord),
+					Compute: e.compute,
+					Mask:    hex16(e.mask),
+					V:       hex16(math.Float64bits(e.v)),
+				})
 			}
-			byNS[k.ns] = append(byNS[k.ns], SnapshotEntry{
-				G:       int(k.k.g),
-				Ord:     int(k.k.ord),
-				Compute: k.k.compute,
-				Mask:    hex16(k.k.mask),
-				V:       hex16(math.Float64bits(e.v)),
-			})
 		}
 		sh.mu.RUnlock()
 	}
@@ -178,6 +181,12 @@ func entryLess(a, b *SnapshotEntry) bool {
 	return a.Mask < b.Mask
 }
 
+// keyInRange reports whether an entry's group and order fit the 32 bits
+// a cache slot stores them in; a wider value would alias another key.
+func keyInRange(e *SnapshotEntry) bool {
+	return e.G >= math.MinInt32 && e.G <= math.MaxInt32 && e.Ord >= math.MinInt32 && e.Ord <= math.MaxInt32
+}
+
 // Import merges a snapshot into the cache, returning how many entries it
 // carried. The snapshot's scope must equal the caller's expected scope and
 // its version must be current — both checked before anything merges, with
@@ -208,6 +217,9 @@ func (c *SharedCache) Import(snap *CacheSnapshot, scope string) (int, error) {
 		kvs := make([]sharedKV, 0, len(nsStr.Entries))
 		for j := range nsStr.Entries {
 			e := &nsStr.Entries[j]
+			if !keyInRange(e) {
+				return 0, snapErrf("malformed", "namespace %s entry %d: group %d or order %d out of range", nsStr.NS, j, e.G, e.Ord)
+			}
 			mask, ok := parseHex16(e.Mask)
 			if !ok {
 				return 0, snapErrf("malformed", "namespace %s entry %d: bad mask %q", nsStr.NS, j, e.Mask)
@@ -266,6 +278,9 @@ func DecodeCacheSnapshot(data []byte) (*CacheSnapshot, error) {
 		}
 		for j := range ns.Entries {
 			e := &ns.Entries[j]
+			if !keyInRange(e) {
+				return nil, snapErrf("malformed", "namespace %s entry %d: group %d or order %d out of range", ns.NS, j, e.G, e.Ord)
+			}
 			if _, ok := parseHex16(e.Mask); !ok {
 				return nil, snapErrf("malformed", "namespace %s entry %d: bad mask %q", ns.NS, j, e.Mask)
 			}

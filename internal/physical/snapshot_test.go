@@ -264,3 +264,30 @@ func FuzzCacheSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// TestSnapshotKeyOutOfRangeRejected: a group or order that does not fit
+// the 32 bits a cache slot stores would alias another key, so decode and
+// import reject it as malformed instead of merging it under the wrong key.
+func TestSnapshotKeyOutOfRangeRejected(t *testing.T) {
+	for _, e := range []SnapshotEntry{
+		{G: 1<<32 + 1, Ord: 0, Mask: hex16(1), V: hex16(math.Float64bits(1))},
+		{G: 1, Ord: 1 << 31, Mask: hex16(1), V: hex16(math.Float64bits(1))},
+	} {
+		snap := &CacheSnapshot{Version: snapshotVersion, Scope: "s", Namespaces: []SnapshotNamespace{{NS: hex16(7), Entries: []SnapshotEntry{e}}}}
+		snap.Checksum = snap.checksum()
+		enc, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCacheSnapshot(enc); !isSnapErr(err, "malformed") {
+			t.Errorf("decode of g=%d ord=%d: err = %v, want malformed", e.G, e.Ord, err)
+		}
+		c := NewSharedCache()
+		if _, err := c.Import(snap, "s"); !isSnapErr(err, "malformed") {
+			t.Errorf("import of g=%d ord=%d: err = %v, want malformed", e.G, e.Ord, err)
+		}
+		if c.Len() != 0 {
+			t.Errorf("rejected import left %d entries", c.Len())
+		}
+	}
+}

@@ -237,7 +237,10 @@ type PoolEntryStats struct {
 	CacheHitRate       float64 `json:"cache_hit_rate"`
 }
 
-// stats snapshots every pooled session.
+// stats snapshots every pooled session. It runs under p.mu, which
+// session checkout also takes, so it stays cheap: CacheEntries reads the
+// shared cache's per-shard live counts, O(64) per session, rather than
+// walking its entries.
 func (p *sessionPool) stats() []PoolEntryStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
